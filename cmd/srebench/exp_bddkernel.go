@@ -74,12 +74,12 @@ func bddKernelExp(sc scale) {
 			K: w.k, Seconds: legacySec, Parallelism: 1,
 			PeakBDDNodes: legacyCell.peakNodes, TotalBDDNodes: legacyCell.liveNodes,
 			CacheHitRatio: legacyCell.hitRatio,
-			GCRuns: legacyCell.gcRuns, Outcome: outcome(legacyErr)})
+			GCRuns:        legacyCell.gcRuns, Outcome: outcome(legacyErr)})
 		record(benchRow{Experiment: "bddkernel", Dataset: w.name, System: "overhauled",
 			K: w.k, Seconds: newSec, Parallelism: 1,
 			PeakBDDNodes: newCell.peakNodes, TotalBDDNodes: newCell.liveNodes,
 			CacheHitRatio: newCell.hitRatio,
-			GCRuns: newCell.gcRuns, Speedup: speedup, ResultsIdentical: identical,
+			GCRuns:        newCell.gcRuns, Speedup: speedup, ResultsIdentical: identical,
 			Outcome: outcome(newErr)})
 		if legacyErr != nil {
 			fmt.Printf("  %s legacy: %v\n", w.name, legacyErr)

@@ -50,11 +50,9 @@ type Config struct {
 	// NodeLimit caps the number of allocated nodes (live + garbage).
 	// Zero means DefaultNodeLimit.
 	NodeLimit int
-	// CacheSize is the number of entries of the operation cache
-	// (rounded up to a power of two). Zero means DefaultCacheSize.
-	CacheSize int
-	// InitialNodes sizes the initial node table. Zero means a small
-	// default; the table grows on demand up to NodeLimit.
+	// InitialNodes sizes the initial node table, and with it the
+	// initial operation caches. Zero means a small default; the table
+	// grows on demand up to NodeLimit.
 	InitialNodes int
 	// DisableGC turns off automatic garbage collection. Explicit calls
 	// to GC still work.
@@ -88,8 +86,13 @@ type Config struct {
 // Default sizing constants.
 const (
 	DefaultNodeLimit = 64 << 20 // 64M nodes ≈ 1.3 GB of tables
-	DefaultCacheSize = 1 << 18
 	defaultInitial   = 1 << 12
+	// maxCacheSets caps the shared operation cache, which otherwise
+	// tracks the unique table's bucket count (see growCaches).
+	maxCacheSets = 1 << 18
+	// minAxEntries is the AndExists cache's floor; above it the cache
+	// holds a quarter as many entries as the shared cache has sets.
+	minAxEntries = 1 << 10
 )
 
 // Manager owns a collection of shared BDD nodes over a fixed set of
@@ -135,7 +138,8 @@ type Manager struct {
 	// Shared operation cache: 2-way set-associative, 2*(setMask+1)
 	// entries. Set s occupies entries 2s (MRU way) and 2s+1 (LRU way).
 	// Entries survive GC; the sweep invalidates only entries whose
-	// operands or result died (see sweepCaches).
+	// operands or result died (see sweepCaches). Both caches grow with
+	// the unique table (see growCaches).
 	cache   []cacheEntry
 	setMask uint32
 	// Dedicated relational-product cache for AndExists (direct-mapped;
@@ -180,6 +184,7 @@ type Manager struct {
 	telHitPreGC  *obs.Gauge
 	telHitPostGC *obs.Gauge
 	telOccupancy *obs.Gauge
+	telSets      *obs.Gauge
 	// Last sampled cumulative values, so counter deltas stay monotone.
 	sampledHits, sampledMiss     uint64
 	sampledAxHits, sampledAxMiss uint64
@@ -221,6 +226,10 @@ type Stats struct {
 	// relational-product cache.
 	AxCacheHits uint64
 	AxCacheMiss uint64
+	// CacheSets is the current number of shared operation-cache sets
+	// (two entries each). It starts at the unique table's bucket count
+	// and grows with it up to 2^18.
+	CacheSets int
 	// CacheRetained/CacheInvalidated count operation-cache entries kept
 	// and dropped across all GC sweeps (the pre-overhaul kernel wiped
 	// everything; retained is how much warmth now survives).
@@ -277,37 +286,20 @@ func New(cfg Config) *Manager {
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = DefaultNodeLimit
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultCacheSize
-	}
 	if cfg.InitialNodes == 0 {
 		cfg.InitialNodes = defaultInitial
 	}
 	if cfg.InitialNodes < 2 {
 		cfg.InitialNodes = 2
 	}
-	cs := 1
-	for cs < cfg.CacheSize {
-		cs <<= 1
-	}
-	// The AndExists cache is a quarter of the shared cache (min 1K
-	// sets): quantification call sites are fewer but each entry is hot.
-	axs := cs / 4
-	if axs < 1<<10 {
-		axs = 1 << 10
-	}
 	m := &Manager{
 		vars:      cfg.Vars,
 		limit:     cfg.NodeLimit,
 		autoGC:    !cfg.DisableGC,
 		legacy:    cfg.LegacyKernel,
-		cache:     make([]cacheEntry, 2*cs), // cs sets × 2 ways
-		axCache:   make([]axEntry, axs),
 		freeList:  -1,
 		interrupt: cfg.Interrupt,
 	}
-	m.setMask = uint32(cs - 1)
-	m.axMask = uint32(axs - 1)
 	m.var2level = make([]int32, cfg.Vars)
 	m.level2var = make([]int32, cfg.Vars)
 	for v := range m.var2level {
@@ -339,6 +331,7 @@ func New(cfg Config) *Manager {
 		m.telHitPreGC = m.tel.Gauge("bdd.cache_hit_ratio_pre_gc")
 		m.telHitPostGC = m.tel.Gauge("bdd.cache_hit_ratio_post_gc")
 		m.telOccupancy = m.tel.Gauge("bdd.opcache_occupancy")
+		m.telSets = m.tel.Gauge("bdd.opcache_sets")
 	}
 	n := cfg.InitialNodes
 	m.lvl = make([]int32, 2, n)
@@ -357,7 +350,7 @@ func New(cfg Config) *Manager {
 		m.hash[i] = -1
 	}
 	m.next[0], m.next[1] = -1, -1
-	// Invalidate cache entries (op 0 is unused).
+	m.growCaches(len(m.hash))
 	return m
 }
 
@@ -385,6 +378,7 @@ func (m *Manager) Statistics() Stats {
 	// root).
 	s.LiveNodes = len(m.lvl) - m.freeCnt
 	s.FreeNodes = m.freeCnt
+	s.CacheSets = int(m.setMask) + 1
 	return s
 }
 
@@ -402,6 +396,7 @@ func (m *Manager) SampleTelemetry() {
 	m.telHitPreGC.Set(m.stats.PreGCCacheHitRatio())
 	m.telHitPostGC.Set(m.stats.PostGCCacheHitRatio())
 	m.telOccupancy.Set(m.cacheOccupancy())
+	m.telSets.Set(float64(m.setMask + 1))
 	// Counters must stay monotone across managers sharing the
 	// registry, so publish deltas since the last sample.
 	m.telCacheHit.Add(int64(m.stats.CacheHits - m.sampledHits))
@@ -582,6 +577,8 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 	return Node(id)
 }
 
+// rehash resizes the unique table to the allocated node count and grows
+// the operation caches to match it.
 func (m *Manager) rehash() {
 	m.hash = make([]int32, hashSizeFor(m.nodes*2))
 	for i := range m.hash {
@@ -603,6 +600,48 @@ func (m *Manager) rehash() {
 			m.next[i] = m.freeList
 			m.freeList = i
 			m.freeCnt++
+		}
+	}
+	m.growCaches(len(m.hash))
+}
+
+// growCaches grows the shared operation cache to sets sets (a power of
+// two), capped at maxCacheSets, and the AndExists cache to a quarter of
+// that (never below minAxEntries), carrying every entry over. Callers
+// pass the unique table's bucket count, so the caches track the node
+// table; they never shrink. Growth may happen mid-operation (mk
+// rehashes), which is safe because no caller holds a cache slot across
+// a recursive call: lookups and stores each recompute the slot under
+// the current mask.
+func (m *Manager) growCaches(sets int) {
+	sets = min(sets, maxCacheSets)
+	if old := m.cache; 2*sets > len(old) {
+		m.cache = make([]cacheEntry, 2*sets)
+		m.setMask = uint32(sets - 1)
+		// A larger power-of-two mask only splits sets: the entries of
+		// new set t all come from old set t&oldMask. Re-inserting each
+		// old set MRU way first therefore loses no entry and keeps
+		// every set's recency order.
+		for _, e := range old {
+			if e.op == 0 {
+				continue
+			}
+			s := m.cacheSlot(e.op, e.f, e.g, e.h) << 1
+			if m.cache[s].op != 0 {
+				s |= 1
+			}
+			m.cache[s] = e
+		}
+	}
+	if axs := max(sets/4, minAxEntries); axs > len(m.axCache) {
+		old := m.axCache
+		m.axCache = make([]axEntry, axs)
+		m.axMask = uint32(axs - 1)
+		// Direct-mapped under a growing mask: no two old entries meet.
+		for _, e := range old {
+			if e.f != False {
+				m.axCache[m.axSlot(e.f, e.g, e.cube)] = e
+			}
 		}
 	}
 }

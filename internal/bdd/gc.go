@@ -103,7 +103,7 @@ func (m *Manager) GC() int {
 	}
 	if recording {
 		m.tel.Record(gcT0, obs.TraceEvent{Stage: "bdd.gc",
-			Wall: time.Since(gcT0).Nanoseconds(),
+			Wall:  time.Since(gcT0).Nanoseconds(),
 			Count: int64(freed), Nodes: -int64(freed), Outcome: "ok"})
 	}
 	return freed

@@ -177,8 +177,10 @@ func (m *Manager) reorderNow() {
 		st.siftVar(v, growth)
 		sifted++
 	}
-	m.rehash() // rebuild chains and free list over the post-sift table
+	// Sifting moved levels, so every cached result is stale. Clearing
+	// first means any cache growth in rehash carries nothing over.
 	m.clearCache()
+	m.rehash() // rebuild chains and free list over the post-sift table
 	after := st.total
 	m.stats.Reorders++
 	m.stats.SiftedVars += sifted

@@ -98,20 +98,20 @@ type initMsg struct {
 // ladder switches: everything that affects results, nothing that holds
 // process-local state (telemetry, interrupt hooks).
 type wireOptions struct {
-	PruneK               int  `json:"prune_k"`
-	Abstract             bool `json:"abstract,omitempty"`
-	NoECMP               bool `json:"no_ecmp,omitempty"`
-	IBGPFullMesh         bool `json:"ibgp_full_mesh,omitempty"`
-	MaxHops              int  `json:"max_hops,omitempty"`
-	MaxIterations        int  `json:"max_iterations,omitempty"`
+	PruneK               int    `json:"prune_k"`
+	Abstract             bool   `json:"abstract,omitempty"`
+	NoECMP               bool   `json:"no_ecmp,omitempty"`
+	IBGPFullMesh         bool   `json:"ibgp_full_mesh,omitempty"`
+	MaxHops              int    `json:"max_hops,omitempty"`
+	MaxIterations        int    `json:"max_iterations,omitempty"`
 	BDDNodeLimit         int    `json:"bdd_node_limit,omitempty"`
 	LegacyKernel         bool   `json:"legacy_kernel,omitempty"`
 	VarOrder             string `json:"var_order,omitempty"`
 	DynamicReorder       bool   `json:"dynamic_reorder,omitempty"`
-	Ladder               bool  `json:"ladder,omitempty"`
-	DisableBudgetHalving bool  `json:"disable_budget_halving,omitempty"`
-	HeartbeatMS          int   `json:"heartbeat_ms,omitempty"`
-	MaxFrameBytes        int64 `json:"max_frame_bytes,omitempty"`
+	Ladder               bool   `json:"ladder,omitempty"`
+	DisableBudgetHalving bool   `json:"disable_budget_halving,omitempty"`
+	HeartbeatMS          int    `json:"heartbeat_ms,omitempty"`
+	MaxFrameBytes        int64  `json:"max_frame_bytes,omitempty"`
 }
 
 // taskMsg assigns one prefix task. Seq is the task's index in the

@@ -379,10 +379,10 @@ func (e *Engine) Run() error {
 			outcome = "error"
 		}
 		e.tel.Record(runT0, obs.TraceEvent{Stage: "src.run",
-			Wall:  time.Since(runT0).Nanoseconds(),
-			Count: int64(e.stats.Activations),
-			Nodes: int64(st1.LiveNodes) - int64(runSt0.LiveNodes),
-			Cache: int64(st1.CacheHits+st1.CacheMiss) - int64(runSt0.CacheHits+runSt0.CacheMiss),
+			Wall:    time.Since(runT0).Nanoseconds(),
+			Count:   int64(e.stats.Activations),
+			Nodes:   int64(st1.LiveNodes) - int64(runSt0.LiveNodes),
+			Cache:   int64(st1.CacheHits+st1.CacheMiss) - int64(runSt0.CacheHits+runSt0.CacheMiss),
 			Outcome: outcome})
 	}
 	return err

@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"runtime"
 	"testing"
 
 	"sre/internal/bdd"
@@ -192,5 +193,25 @@ func TestNewSpaceRejectsBadPerm(t *testing.T) {
 			}()
 			NewSpace(3, bdd.Config{}, 0, perm)
 		}()
+	}
+}
+
+var spaceSink *Space
+
+// TestNewSpaceFootprint pins what a fresh per-prefix space costs: a
+// Bics-sized WAN (48 links; 33 node plus 32 risk-group variables) must
+// allocate under 1 MiB. Most per-prefix managers stay a few hundred
+// nodes small, so the operation caches start small instead of at their
+// 11 MiB cap.
+func TestNewSpaceFootprint(t *testing.T) {
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		spaceSink = NewSpace(48, bdd.Config{}, 33+32, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("NewSpace allocates %d bytes, want < 1 MiB", per)
 	}
 }
